@@ -9,16 +9,16 @@ process.  The public surface:
 * :func:`run_fleet` — map shards onto workers, reduce to a
   :class:`FleetResult` whose ``fingerprint`` is bit-identical for any
   worker count and any submission order;
-* :class:`FunctionalHost` / :func:`migrate_vm` — untimed per-host merge
-  stacks and audited VM live migration between them.
+* :func:`migrate_vm` — audited VM live migration between two untimed
+  :class:`~repro.sim.FunctionalHost` merge stacks.
 """
 
 from repro.fleet.config import FleetSpec, HostSpec, shard_seed
 from repro.fleet.migration import (
-    FunctionalHost,
     MigrationReport,
     VMImagePayload,
     capture_vm,
+    land_vm,
     migrate_vm,
 )
 from repro.fleet.reduce import FleetResult, fleet_fingerprint, reduce_shards
@@ -39,7 +39,6 @@ from repro.fleet.shard import (
 __all__ = [
     "FleetResult",
     "FleetSpec",
-    "FunctionalHost",
     "HostSpec",
     "MigrationReport",
     "ShardResult",
@@ -50,6 +49,7 @@ __all__ = [
     "default_workers",
     "fleet_fingerprint",
     "frame_digest_counts",
+    "land_vm",
     "migrate_vm",
     "reduce_shards",
     "run_fleet",

@@ -7,7 +7,7 @@ step needs comes back in a picklable :class:`ShardResult`.
 
 The timed run is *identical* to one mode of
 :func:`~repro.sim.runner.run_latency_experiment` — same ServerSystem
-construction, same :class:`~repro.sim.runner.LatencySummary` assembly —
+construction, same :func:`~repro.sim.runner.summarize_system` —
 so a single-host fleet reduces to exactly the numbers ``repro run``
 prints (the differential tests pin this).
 """
@@ -16,11 +16,9 @@ import hashlib
 from dataclasses import asdict, dataclass, field
 from typing import Dict
 
-import numpy as np
-
 from repro.common.config import TAILBENCH_APPS
 from repro.fleet.config import FleetSpec, HostSpec
-from repro.sim.runner import LatencySummary
+from repro.sim.runner import summarize_system
 from repro.sim.system import ServerSystem, SimulationScale
 
 __all__ = [
@@ -147,23 +145,8 @@ def run_shard(task: ShardTask) -> ShardResult:
     )
     system = ServerSystem(app, mode=task.backend, scale=scale,
                           seed=task.seed, scenario=task.scenario)
-    collector = system.run()
-    shares = system.kernel_shares()
-    peak, breakdown, _start = system.bandwidth_peak()
-    summary = LatencySummary(
-        app_name=app.name,
-        mode=task.backend,
-        mean_sojourn_s=collector.geomean_mean_sojourn_s(),
-        p95_sojourn_s=collector.geomean_p95_sojourn_s(),
-        queries=len(collector),
-        kernel_share_avg=float(np.mean(shares)),
-        kernel_share_max=float(np.max(shares)),
-        l3_miss_rate=system.l3_miss_rate(),
-        bandwidth_peak_gbps=peak,
-        bandwidth_breakdown=breakdown,
-        footprint_pages=system.hypervisor.footprint_pages(),
-    )
-    system.backend.summarize(summary)
+    system.run()
+    summary = summarize_system(system)
     hyp = system.hypervisor
     return ShardResult(
         host_id=task.host_id,

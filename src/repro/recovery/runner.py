@@ -1,8 +1,8 @@
 """The checkpointable merge run: checkpoint + journal + deterministic resume.
 
-:class:`RecoverableRun` wraps the same merging stack the chaos campaigns
-exercise (hypervisor + KSM daemon or PageForge driver + fault injector +
-optional degradation governor) in a crash-safe loop:
+:class:`RecoverableRun` wraps a :class:`~repro.sim.FunctionalHost`
+(hypervisor + KSM daemon or PageForge driver), a fault injector and an
+optional degradation governor in a crash-safe loop:
 
 * every merge op is journaled (:mod:`repro.recovery.journal`);
 * every ``checkpoint_every`` intervals the **full** component state is
@@ -31,28 +31,24 @@ import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
-from repro.common.config import KSMConfig, TAILBENCH_APPS
+from repro.common.config import TAILBENCH_APPS
 from repro.common.io import atomic_write_text
 from repro.common.rng import DeterministicRNG
 from repro.faults.governor import DegradationGovernor
 from repro.faults.injector import FaultInjector, ProcessCrash
 from repro.faults.plan import FaultPlan
-from repro.mem import PhysicalMemory
 from repro.recovery.journal import MergeJournal, read_journal
 from repro.recovery.serialize import (
     capture_governor,
-    capture_hypervisor,
     capture_injector,
     jsonify,
     page_digests,
     restore_governor,
-    restore_hypervisor,
     restore_injector,
 )
 from repro.recovery.snapshot import CheckpointStore
 from repro.sim.backends import get_backend, recoverable_backends
-from repro.virt import Hypervisor
-from repro.workloads.memimage import MemoryImageProfile, build_vm_images
+from repro.sim.functional import FunctionalHost
 
 
 @dataclass(frozen=True)
@@ -126,78 +122,61 @@ class RecoverableRun:
             self.workdir / "checkpoints", keep=spec.keep_checkpoints
         )
         self.journal = MergeJournal(self.workdir / "journal.jsonl")
-        self.start_interval = 0
         self.footprints = []
         self.resumed_from_step = None
         self.replayed_records = 0
         self.checkpoints_written = 0
-        self._build_components()
-        if not _defer_build:
-            self._build_images()
-
-    # Construction -----------------------------------------------------------------
-
-    def _build_components(self):
-        spec = self.spec
-        capacity = max(spec.pages_per_vm * spec.n_vms * 4 * 4096, 64 << 20)
-        self.memory = PhysicalMemory(capacity)
-        self.hypervisor = Hypervisor(physical_memory=self.memory)
-        ksm_config = KSMConfig(pages_to_scan=spec.scan_batch)
-        self.governor = None
         # line_sampling=1: recovery runs compare every line, so the
         # oracle grading in validate() sees no sampling artefacts.
-        self.backend_cls = get_backend(spec.mode)
-        self.bundle = self.backend_cls.build_functional(
-            self.hypervisor, ksm_config, line_sampling=1, verify_ecc=True,
+        self.host = FunctionalHost(
+            DeterministicRNG(spec.seed, f"recoverable/{spec.app}/{spec.mode}"),
+            spec.mode, spec.app, spec.n_vms, spec.pages_per_vm,
+            pages_to_scan=spec.scan_batch, boot=not _defer_build,
+            line_sampling=1, verify_ecc=True,
         )
-        self.merger = self.bundle.merger
-        self.daemon = self.bundle.daemon
-        self.driver = self.bundle.driver
-        self.controller = self.bundle.controller
+        self.hypervisor = self.host.hypervisor
+        self.memory = self.hypervisor.memory
+        bundle = self.host.bundle
+        self.daemon = bundle.daemon
+        self.driver = bundle.driver
+        self.controller = bundle.controller
         self.injector = FaultInjector(spec.plan)
         if self.controller is not None:
             self.injector.attach(
                 controller=self.controller, engine=self.driver.engine
             )
         self.injector.set_crash_attempt(self.attempt)
+        self.governor = None
         if spec.use_governor and self.driver is not None:
             self.governor = DegradationGovernor(
                 self.driver.strategy.resilience
             )
 
-    def _build_images(self):
-        spec = self.spec
-        rng = DeterministicRNG(spec.seed, f"recoverable/{spec.app}/{spec.mode}")
-        profile = MemoryImageProfile.for_app(
-            TAILBENCH_APPS[spec.app], spec.pages_per_vm
-        )
-        build_vm_images(self.hypervisor, profile, spec.n_vms, rng)
+    @property
+    def start_interval(self):
+        """The next interval to run: the host's scan-tick count."""
+        return self.host.ticks
 
     # Checkpoint / restore ----------------------------------------------------------
 
     def capture_state(self):
-        state = {
-            "interval": self.start_interval,
-            "footprints": list(self.footprints),
-            "hypervisor": capture_hypervisor(self.hypervisor),
-            "injector": capture_injector(self.injector),
-            "governor": (
+        """The host's snapshot plus injector, governor and footprints."""
+        return dict(
+            self.host.capture(),
+            footprints=list(self.footprints),
+            injector=capture_injector(self.injector),
+            governor=(
                 capture_governor(self.governor)
                 if self.governor is not None else None
             ),
-        }
-        state["merger_kind"] = self.spec.mode
-        state["merger"] = self.backend_cls.capture_functional(self.bundle)
-        return state
+        )
 
     def restore_state(self, state):
-        restore_hypervisor(self.hypervisor, state["hypervisor"])
-        self.backend_cls.restore_functional(self.bundle, state["merger"])
+        self.host.restore(state)
         restore_injector(self.injector, state["injector"])
         if state["governor"] is not None and self.governor is not None:
             restore_governor(self.governor, state["governor"])
         self.footprints = list(state["footprints"])
-        self.start_interval = state["interval"]
         return self
 
     @classmethod
@@ -271,7 +250,7 @@ class RecoverableRun:
                 self._maybe_stall(interval)
                 if self.governor is not None:
                     self.driver.set_backend(self.governor.plan_interval())
-                self.merger.scan_pages(spec.scan_batch)
+                self.host.scan(spec.scan_batch)
                 if self.governor is not None:
                     self.governor.observe(*self.driver.fault_observations())
                 self.injector.maybe_destroy_vm(self.hypervisor)
@@ -279,7 +258,6 @@ class RecoverableRun:
                 footprint = self.hypervisor.footprint_pages()
                 self.footprints.append(footprint)
                 self.journal.commit_interval(interval, footprint)
-                self.start_interval = interval + 1
                 self.heartbeat(interval)
                 crash_now = self.injector.maybe_crash()
                 if (

@@ -255,11 +255,6 @@ class AdmissionController:
             self.stats.inflight -= 1
             self._idle.notify_all()
 
-    def flag_late_success(self):
-        """Record that a 200 escaped past its deadline (must never fire)."""
-        with self._lock:
-            self.stats.accepted_deadline_violations += 1
-
     # Metrics --------------------------------------------------------------------
 
     def metrics(self):

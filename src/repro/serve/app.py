@@ -1,7 +1,7 @@
 """The application behind the front-end: one live merging world.
 
 The data plane serves a long-lived
-:class:`~repro.fleet.migration.FunctionalHost` — the same untimed merge
+:class:`~repro.sim.FunctionalHost` — the same untimed merge
 stack the fleet and migration tiers drive — through three request
 classes:
 
@@ -23,16 +23,15 @@ instead of executed.
 import threading
 from dataclasses import replace
 
-import numpy as np
-
+from repro.common.rng import DeterministicRNG
 from repro.common.units import PAGE_BYTES
-from repro.fleet.migration import FunctionalHost, capture_vm
+from repro.fleet.migration import capture_vm, land_vm
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.chaos import ServeChaos
 from repro.serve.deadline import DeadlineExceeded
 from repro.sim.backends import available_backends
+from repro.sim.functional import FunctionalHost
 from repro.sim.metrics import MetricsRegistry, summarize
-from repro.workloads.memimage import WriteChurner
 
 __all__ = [
     "MergeServiceApp",
@@ -74,10 +73,9 @@ class MergeServiceApp:
     def _build_host(self, backend, n_vms):
         cfg = self.config
         host = FunctionalHost(
-            host_id=self._generation, backend=backend, app=cfg.app,
-            n_vms=n_vms, pages_per_vm=cfg.pages_per_vm,
-            seed=cfg.seed, pages_to_scan=cfg.scan_rate,
-            churn=n_vms > 0,
+            DeterministicRNG(cfg.seed, f"fleet/host{self._generation}"),
+            backend, cfg.app, n_vms, cfg.pages_per_vm,
+            pages_to_scan=cfg.scan_rate, churn=n_vms > 0,
         )
         self._generation += 1
         if self.auditor is not None:
@@ -151,10 +149,8 @@ class MergeServiceApp:
 
     def _do_scan(self, pages):
         host = self.host
-        if host.churner is not None:
-            host.churner.tick()
         n = int(pages) if pages else self.scan_rate
-        interval = host.merger.scan_pages(max(1, min(n, 100_000)))
+        interval = host.scan(max(1, min(n, 100_000)))
         return {
             "kind": "scan",
             "pages_scanned": interval.pages_scanned,
@@ -245,24 +241,16 @@ class MergeServiceApp:
             else []
         )
         new = self._build_host(backend, n_vms=0)
-        vm_id_map = {}
-        for payload in payloads:
-            vm = new.hypervisor.create_vm(name=payload.name)
-            vm_id_map[payload.source_vm_id] = vm.vm_id
-            for gpn, content, mergeable, category in payload.pages:
-                new.hypervisor.populate_page(
-                    vm, gpn, np.frombuffer(content, dtype=np.uint8),
-                    category=category, mergeable=mergeable,
-                )
+        vm_id_map = {
+            payload.source_vm_id: land_vm(new.hypervisor, payload).vm_id
+            for payload in payloads
+        }
         churn_pages = [
             (vm_id_map[vm_id], gpn)
             for vm_id, gpn in old_churn if vm_id in vm_id_map
         ]
         if churn_pages:
-            new.churner = WriteChurner(
-                new.hypervisor, churn_pages,
-                new.rng.derive("churn"), fraction_per_tick=0.5,
-            )
+            new.start_churn(churn_pages)
         self.host = new
         self.backend_switches += 1
         if self.auditor is not None:

@@ -12,6 +12,10 @@ resolved through the registry in :mod:`repro.sim.backends`:
   OS driver running KSM's algorithm;
 * ``uksm``      — whole-system scanning under a CPU budget (Section 7.2);
 * ``esx``       — VMware-style hash-bucket merging (Section 7.2).
+
+``FunctionalHost`` is the untimed counterpart: one backend's functional
+merging stack over booted guest images, with the one convergence rule
+and checkpoint format every untimed merge run shares.
 """
 
 from repro.sim.backends import (
@@ -22,6 +26,7 @@ from repro.sim.backends import (
     register_backend,
 )
 from repro.sim.engine import EventQueue
+from repro.sim.functional import FunctionalHost
 from repro.sim.load import LoadGenerator
 from repro.sim.memmodel import MemoryModel
 from repro.sim.metrics import KSMTimingStats, MetricsRegistry
@@ -31,12 +36,14 @@ from repro.sim.runner import (
     run_hash_key_study,
     run_latency_experiment,
     run_memory_savings,
+    summarize_system,
 )
 from repro.sim.system import MODES, ServerSystem, SimulationScale
 
 __all__ = [
     "EventQueue",
     "ExperimentResult",
+    "FunctionalHost",
     "KSMTimingStats",
     "LatencySummary",
     "LoadGenerator",
@@ -53,4 +60,5 @@ __all__ = [
     "run_hash_key_study",
     "run_latency_experiment",
     "run_memory_savings",
+    "summarize_system",
 ]

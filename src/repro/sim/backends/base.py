@@ -13,9 +13,9 @@ A backend has two faces:
   :class:`~repro.sim.metrics.MetricsRegistry`, and ``attach_auditor()``
   is the audit boundary the invariant checker wires through.
 
-* **Functional** (classmethods): the untimed merging stack the
-  Figure 7 savings runner and the crash-safe recovery runner drive
-  directly, with no event queue.  ``build_functional()`` returns a
+* **Functional** (classmethods): the untimed merging stack that
+  :class:`~repro.sim.FunctionalHost` builds and drives, with no event
+  queue.  ``build_functional()`` returns a
   :class:`MergerBundle`; ``capture_functional()`` /
   ``restore_functional()`` are the stable per-component snapshot
   boundary ``recovery.serialize`` used to reach into ``ServerSystem``

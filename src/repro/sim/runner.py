@@ -11,12 +11,12 @@ from typing import Dict
 
 import numpy as np
 
-from repro.common.config import KSMConfig, TAILBENCH_APPS
+from repro.common.config import TAILBENCH_APPS
 from repro.common.rng import DeterministicRNG
 from repro.core.hashkey import ecc_hash_key
 from repro.ksm.jhash import page_checksum
 from repro.mem import PhysicalMemory
-from repro.sim.backends import get_backend
+from repro.sim.functional import FunctionalHost
 from repro.sim.system import ServerSystem
 from repro.virt import Hypervisor
 from repro.workloads.memimage import (
@@ -73,16 +73,13 @@ def run_memory_savings(app, pages_per_vm=2000, n_vms=10, seed=2017,
     intervals, so those pages never stabilise — without it they are
     duplicates like any others and merge, overstating the savings.
 
-    With ``checkpoint_dir`` set and ``checkpoint_every > 0``, the full
-    run state (hypervisor, merger, churner RNG, loop counters) is
-    snapshotted every N scan ticks; ``resume=True`` continues from the
-    newest valid checkpoint and produces a bit-identical result to the
-    uninterrupted run.
+    With ``checkpoint_dir`` set and ``checkpoint_every > 0``, the host's
+    full state (:meth:`FunctionalHost.capture`) is snapshotted every N
+    scan ticks; ``resume=True`` continues from the newest valid
+    checkpoint and produces a bit-identical result to the uninterrupted
+    run.
     """
     app = _resolve_app(app)
-    rng = DeterministicRNG(seed, f"fig7/{app.name}")
-    capacity = max(pages_per_vm * n_vms * 4 * 4096, 64 << 20)
-
     store = None
     restored = None
     if checkpoint_dir is not None:
@@ -92,106 +89,40 @@ def run_memory_savings(app, pages_per_vm=2000, n_vms=10, seed=2017,
         if resume:
             restored = store.latest()
 
-    memory = PhysicalMemory(capacity)
-    hypervisor = Hypervisor(physical_memory=memory)
-    profile = MemoryImageProfile.for_app(app, pages_per_vm)
-    if restored is None:
-        images = build_vm_images(hypervisor, profile, n_vms, rng)
-        churn_pages = [tuple(p) for p in images.churn_pages] if churn else []
-
-    ksm_config = KSMConfig(pages_to_scan=4000)
     # Registry dispatch: an unknown engine raises ValueError naming the
     # registered backends; "baseline" raises because it has no merging
     # stack to run.
-    backend_cls = get_backend(engine)
-    bundle = backend_cls.build_functional(hypervisor, ksm_config)
-    merger = bundle.merger
-
+    host = FunctionalHost(
+        DeterministicRNG(seed, f"fig7/{app.name}"), engine, app, n_vms,
+        pages_per_vm, churn=churn, boot=restored is None,
+    )
     if restored is None:
-        before = hypervisor.footprint_pages()
-        before_by_cat = hypervisor.footprint_by_category()
-        start_tick = 0
-        last_footprint = None
-        stable = 0
+        before = host.footprint()
+        before_by_cat = host.hypervisor.footprint_by_category()
     else:
-        from repro.recovery import serialize as _ser
-
         state, _header = restored
-        _ser.restore_hypervisor(hypervisor, state["hypervisor"])
-        backend_cls.restore_functional(bundle, state["merger"])
-        churn_pages = [tuple(p) for p in state["churn_pages"]]
+        host.restore(state)
         before = state["before"]
         before_by_cat = state["before_by_cat"]
-        start_tick = state["tick"]
-        last_footprint = state["last_footprint"]
-        stable = state["stable"]
 
-    churner = WriteChurner(
-        hypervisor, churn_pages, rng.derive("churn"), fraction_per_tick=0.5,
-    )
-    if restored is not None:
-        from repro.recovery import serialize as _ser
+    def checkpoint(host):
+        if host.ticks % checkpoint_every == 0:
+            snap = dict(host.capture(), before=before,
+                        before_by_cat=before_by_cat)
+            store.save(host.ticks, snap, meta={
+                "experiment": "savings", "app": app.name, "engine": engine,
+            })
 
-        _ser.restore_churner(churner, state["churner"])
-        passes_before = state["passes_before"]
-    else:
-        passes_before = merger.stats.passes_completed
-
-    def _checkpoint(tick):
-        from repro.recovery import serialize as _ser
-
-        snap = {
-            "tick": tick,
-            "passes_before": passes_before,
-            "last_footprint": last_footprint,
-            "stable": stable,
-            "before": before,
-            "before_by_cat": before_by_cat,
-            "churn_pages": [list(p) for p in churn_pages],
-            "churner": _ser.capture_churner(churner),
-            "hypervisor": _ser.capture_hypervisor(hypervisor),
-            "merger_kind": engine,
-            "merger": backend_cls.capture_functional(bundle),
-        }
-        store.save(tick, snap, meta={"experiment": "savings",
-                                     "app": app.name, "engine": engine})
-
-    for tick in range(start_tick, max_passes * 40):
-        churner.tick()
-        interval = merger.scan_pages(ksm_config.pages_to_scan)
-        done = False
-        if interval.pages_scanned == 0 and interval.passes_completed == 0:
-            done = True
-        elif interval.passes_completed:
-            passes = merger.stats.passes_completed - passes_before
-            footprint = hypervisor.footprint_pages()
-            if (
-                last_footprint is not None
-                and abs(footprint - last_footprint) <= max(2, footprint // 200)
-            ):
-                stable += 1
-            else:
-                stable = 0
-            last_footprint = footprint
-            if stable >= 2 and passes >= 3:
-                done = True
-            elif passes >= max_passes:
-                done = True
-        if (
-            store is not None and checkpoint_every
-            and (tick + 1) % checkpoint_every == 0 and not done
-        ):
-            _checkpoint(tick + 1)
-        if done:
-            break
-
+    host.converge(max_passes, on_tick=(
+        checkpoint if store is not None and checkpoint_every else None
+    ))
     return MemorySavingsResult(
         app_name=app.name,
         pages_before=before,
-        pages_after=hypervisor.footprint_pages(),
+        pages_after=host.footprint(),
         before_by_category=before_by_cat,
-        after_by_category=hypervisor.footprint_by_category(),
-        merges=merger.stats.merges,
+        after_by_category=host.hypervisor.footprint_by_category(),
+        merges=host.merger.stats.merges,
         engine=engine,
     )
 
@@ -351,6 +282,28 @@ class ExperimentResult:
         return self.summaries[mode].p95_sojourn_s / base if base else 0.0
 
 
+def summarize_system(system):
+    """The :class:`LatencySummary` of a :class:`ServerSystem` that has run."""
+    collector = system.load.collector
+    shares = system.kernel_shares()
+    peak, breakdown, _start = system.bandwidth_peak()
+    summary = LatencySummary(
+        app_name=system.app.name,
+        mode=system.mode,
+        mean_sojourn_s=collector.geomean_mean_sojourn_s(),
+        p95_sojourn_s=collector.geomean_p95_sojourn_s(),
+        queries=len(collector),
+        kernel_share_avg=float(np.mean(shares)),
+        kernel_share_max=float(np.max(shares)),
+        l3_miss_rate=system.l3_miss_rate(),
+        bandwidth_peak_gbps=peak,
+        bandwidth_breakdown=breakdown,
+        footprint_pages=system.hypervisor.footprint_pages(),
+    )
+    system.backend.summarize(summary)
+    return summary
+
+
 def run_latency_experiment(app, modes=("baseline", "ksm", "pageforge"),
                            scale=None, machine=None, seed=2017,
                            checkpoint_dir=None, resume=False,
@@ -394,23 +347,8 @@ def run_latency_experiment(app, modes=("baseline", "ksm", "pageforge"),
             app, mode=mode, machine=machine, scale=scale, seed=seed,
             scenario=scenario,
         )
-        collector = system.run()
-        shares = system.kernel_shares()
-        peak, breakdown, _start = system.bandwidth_peak()
-        summary = LatencySummary(
-            app_name=app.name,
-            mode=mode,
-            mean_sojourn_s=collector.geomean_mean_sojourn_s(),
-            p95_sojourn_s=collector.geomean_p95_sojourn_s(),
-            queries=len(collector),
-            kernel_share_avg=float(np.mean(shares)),
-            kernel_share_max=float(np.max(shares)),
-            l3_miss_rate=system.l3_miss_rate(),
-            bandwidth_peak_gbps=peak,
-            bandwidth_breakdown=breakdown,
-            footprint_pages=system.hypervisor.footprint_pages(),
-        )
-        system.backend.summarize(summary)
+        system.run()
+        summary = summarize_system(system)
         result.summaries[mode] = summary
         result.metrics[mode] = system.metrics.snapshot()
         if mode_path is not None:

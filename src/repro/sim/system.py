@@ -330,9 +330,6 @@ class ServerSystem:
         """Current app-visible L3 local miss rate (baseline + pollution)."""
         return self.memmodel.app_l3_miss_rate(now)
 
-    def _contention_factor(self):
-        return self.memmodel.contention_factor()
-
     def _memory_latency(self, addr, is_write, source):
         return self.memmodel.core_miss_latency(addr, is_write, source)
 

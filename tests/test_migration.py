@@ -9,7 +9,9 @@ page contents must survive byte-exactly.
 import numpy as np
 import pytest
 
-from repro.fleet import FunctionalHost, capture_vm, migrate_vm
+from repro.common.rng import DeterministicRNG
+from repro.fleet import capture_vm, migrate_vm
+from repro.sim import FunctionalHost
 from repro.verify.invariants import InvariantAuditor
 
 TINY = dict(n_vms=3, pages_per_vm=60)
@@ -18,7 +20,8 @@ TINY = dict(n_vms=3, pages_per_vm=60)
 def _host(host_id, backend="ksm", seed=11, **kwargs):
     shape = dict(TINY)
     shape.update(kwargs)
-    host = FunctionalHost(host_id, backend=backend, seed=seed, **shape)
+    rng = DeterministicRNG(seed, f"fleet/host{host_id}")
+    host = FunctionalHost(rng, backend=backend, **shape)
     auditor = InvariantAuditor(strict=True)
     host.attach_auditor(auditor)
     return host, auditor

@@ -422,13 +422,14 @@ def test_spec_json_roundtrip():
 # Checkpoint/resume of the Fig. 7 savings experiment
 # ---------------------------------------------------------------------------
 
-def test_savings_resume_matches_uninterrupted(tmp_path):
+@pytest.mark.parametrize("engine", ["ksm", "pageforge"])
+def test_savings_resume_matches_uninterrupted(tmp_path, engine):
     from repro.sim.runner import run_memory_savings
 
     # Big enough that one 4000-page scan tick is ~one pass — the run
     # then spans several ticks and actually crosses a checkpoint.
     kwargs = dict(app="moses", pages_per_vm=2000, n_vms=2, seed=7,
-                  engine="ksm", max_passes=4)
+                  engine=engine, max_passes=4)
     uninterrupted = run_memory_savings(**kwargs)
     ckpt_dir = tmp_path / "ckpts"
     first = run_memory_savings(

@@ -273,6 +273,37 @@ class TestColdStartStudy:
                 < study.unhinted_first_interval_pages)
         assert study.hint_speedup >= 1.0
 
+    def test_auditor_checks_count_each_merge_once(self):
+        """The study's auditor sees every merge once, not twice.
+
+        Replays both runs with one auditor wired through the daemon
+        alone (which also wraps the hypervisor) for the same number of
+        intervals the study ran: to steady state, then three still ones.
+        """
+        from repro.scenarios.serverless import apply_bundle_hints
+        from repro.sim.backends import get_backend
+
+        study = run_cold_start_study(
+            backend="ksm", n_sandboxes=4, pages_per_vm=64, seed=11,
+        )
+        spec = ScenarioSpec("serverless", "moses", 4, 64, 11)
+        checks = 0
+        for hinted, to_steady in (
+            (True, study.hinted_intervals_to_steady),
+            (False, study.unhinted_intervals_to_steady),
+        ):
+            hyp = _fresh_hypervisor(64)
+            images = spec.build_images(hyp)
+            bundle = get_backend("ksm").build_functional(hyp, KSMConfig())
+            auditor = InvariantAuditor()
+            auditor.attach_daemon(bundle.daemon)
+            if hinted:
+                apply_bundle_hints(bundle, spec.model().merge_hints(images))
+            for _ in range(to_steady + 3):
+                bundle.merger.scan_pages(study.scan_budget)
+            checks += auditor.total_checks
+        assert study.auditor_checks == checks
+
     def test_metrics_payload_round_trips(self):
         study = run_cold_start_study(
             backend="ksm", n_sandboxes=4, pages_per_vm=64, seed=11,
