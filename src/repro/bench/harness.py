@@ -77,6 +77,24 @@ def measure_op_ns(fn, ops_per_call=1, min_time_s=0.2, min_calls=3,
     return best / ops_per_call
 
 
+def measure_pair_ns(fn, reference, ops_per_call=1, rounds=7):
+    """Best-case CPU ns per operation of ``fn`` and of ``reference``.
+
+    The two are called alternately, ``rounds`` times each, so a drift in
+    host speed during the measurement hits both alike and their ratio
+    stays put.
+    """
+    best = [None, None]
+    for _ in range(rounds):
+        for i, f in enumerate((fn, reference)):
+            t0 = time.process_time_ns()
+            f()
+            dt = time.process_time_ns() - t0
+            if best[i] is None or dt < best[i]:
+                best[i] = dt
+    return best[0] / ops_per_call, best[1] / ops_per_call
+
+
 def measure_once_ns(fn):
     """CPU nanoseconds of a single call (end-to-end runs)."""
     t0 = time.process_time_ns()

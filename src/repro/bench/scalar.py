@@ -1,4 +1,4 @@
-"""The pre-vectorization reference daemon, kept runnable for A/B timing.
+"""Pre-optimization references, kept runnable for A/B timing.
 
 ``ScalarKSMDaemon`` wires :class:`~repro.ksm.daemon.KSMDaemon` back to
 the scalar per-page operations the repository shipped before the hot
@@ -14,12 +14,21 @@ It produces bit-identical merge decisions — same trees, same merges,
 same stats — at the old per-operation costs, so the bench harness can
 report an in-run, machine-independent speedup ratio instead of
 comparing nanoseconds across hosts.
+
+``ScalarFetchEngine`` does the same for the PageForge comparator: every
+line it fetches takes its own ``_fetch_line`` call (bus probe, then
+``MemoryController.read_line`` and ``DRAMModel.access_line``) instead
+of one page-level ``read_line_pairs``.
 """
 
+import numpy as np
+
+from repro.core.engine import PageForgeEngine
 from repro.ksm.compare import compare_pages_scalar
 from repro.ksm.daemon import KSMDaemon, StaleNodeError
 from repro.ksm.jhash import page_checksum
 from repro.ksm.rbtree import ContentRBTree
+from repro.mem.controller import LinePairRun
 
 
 class ScalarKSMDaemon(KSMDaemon):
@@ -77,3 +86,33 @@ class ScalarKSMDaemon(KSMDaemon):
             except StaleNodeError:
                 self._prune_stale(tree)
                 interval.stale_nodes_pruned += 1
+
+
+class ScalarFetchEngine(PageForgeEngine):
+    """PageForge engine fetching comparator lines one call at a time."""
+
+    def _fetch_pairs(self, candidate_ppn, other_ppn, lines, time_seconds,
+                     compare):
+        run = LinePairRun()
+        frequency = self.controller.dram.cpu_frequency_hz
+        cycles = 0
+        for line in lines:
+            now = time_seconds + cycles / frequency
+            data_a, lat_a = self._fetch_line(
+                candidate_ppn, line, now, is_candidate=True
+            )
+            data_b, lat_b = self._fetch_line(
+                other_ppn, line, now, is_candidate=False
+            )
+            pair_latency = max(lat_a, lat_b)
+            run.latency += pair_latency
+            run.pairs += 1
+            cycles += pair_latency + self.COMPARE_CYCLES_PER_LINE
+            if not compare:
+                continue
+            self.stats.line_pairs_compared += 1
+            if not np.array_equal(data_a, data_b):
+                first = int(np.nonzero(data_a != data_b)[0][0])
+                run.sign = -1 if data_a[first] < data_b[first] else 1
+                break
+        return run

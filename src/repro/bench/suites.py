@@ -17,16 +17,24 @@ import time
 import numpy as np
 
 from repro.bench.fixtures import build_scan_fleet, churn_tail
-from repro.bench.harness import Metric, measure_once_ns, measure_op_ns
-from repro.bench.scalar import ScalarKSMDaemon
-from repro.common.config import KSMConfig
+from repro.bench.harness import (
+    Metric,
+    measure_once_ns,
+    measure_op_ns,
+    measure_pair_ns,
+)
+from repro.bench.scalar import ScalarFetchEngine, ScalarKSMDaemon
+from repro.cache import CoreCacheHierarchy, SetAssocCache, SnoopBus
+from repro.common.config import KSMConfig, ProcessorConfig
 from repro.common.units import PAGE_BYTES
+from repro.core.engine import PageForgeEngine
 from repro.ecc.hamming import _encode_words_swar, encode_pages
 from repro.ksm import compare as ksm_compare
 from repro.ksm.compare import compare_pages, compare_pages_scalar, pages_identical
 from repro.ksm.daemon import KSMDaemon
 from repro.ksm.jhash import KSM_CHECKSUM_INITVAL, jhash2, jhash2_batch
 from repro.ksm.rbtree import ContentRBTree, RBNode
+from repro.mem import MemoryController, PhysicalMemory
 from repro.sim.engine import EventQueue
 
 #: Suite registry: name -> callable(quick) -> [Metric].  Order matters:
@@ -237,6 +245,90 @@ def bench_scan_table_walk(quick):
         Metric("scan_table_walk.scalar_ns_per_walk", scalar_ns, "ns/walk",
                higher_is_better=False),
         Metric("scan_table_walk.speedup_vs_scalar", scalar_ns / fast_ns, "x",
+               gate=True),
+    ]
+
+
+# Snoop filter ----------------------------------------------------------------
+
+
+@suite("snoop")
+def bench_snoop(quick):
+    """PageForge's network-first probes: snoop filter vs full cache scan.
+
+    The evaluated chip (Table 2): ten cores' L1/L2 plus the L3 on one
+    bus.  One probed line in 16 is cached on some core; the rest miss
+    everywhere, as the comparator's cold page streams mostly do.
+    """
+    proc = ProcessorConfig()
+    bus = SnoopBus()
+    l3 = SetAssocCache(proc.l3)
+    bus.register_shared(l3)
+    cores = [CoreCacheHierarchy(i, proc, l3, bus)
+             for i in range(proc.n_cores)]
+    n_lines = 2048 if quick else 8192
+    addrs = list(range(n_lines))
+    for addr in addrs[::16]:
+        cores[addr % proc.n_cores].access(addr)
+
+    def run_filter():
+        for addr in addrs:
+            bus.probe(addr)
+
+    def run_scan():
+        for addr in addrs:
+            bus.probe_scan(addr)
+
+    filter_ns, scan_ns = measure_pair_ns(
+        run_filter, run_scan, ops_per_call=n_lines, rounds=5 if quick else 9)
+    return [
+        Metric("snoop.ns_per_probe", filter_ns, "ns/probe",
+               higher_is_better=False),
+        Metric("snoop.scan_ns_per_probe", scan_ns, "ns/probe",
+               higher_is_better=False),
+        Metric("snoop.speedup_vs_scan", scan_ns / filter_ns, "x", gate=True),
+    ]
+
+
+# PageForge line fetch --------------------------------------------------------
+
+
+@suite("pf_fetch")
+def bench_pf_fetch(quick):
+    """Lockstep page comparisons: page-level fetch vs per-line fetches.
+
+    Page pairs share a 3,584-byte prefix, so each comparison streams 57
+    line pairs through the controller and DRAM model before deciding.
+    """
+    n_pairs = 32 if quick else 128
+    pages = _tail_divergent_pages(2 * n_pairs)
+    memory = PhysicalMemory(4 * n_pairs * PAGE_BYTES)
+    ppns = []
+    for page in pages:
+        frame = memory.allocate()
+        frame.fill(page)
+        ppns.append(frame.ppn)
+    pairs = list(zip(ppns[::2], ppns[1::2]))
+
+    def runner(engine_cls):
+        engine = engine_cls(MemoryController(0, memory, verify_ecc=False))
+
+        def run():
+            engine.controller.flush_pending()
+            for i, (candidate, other) in enumerate(pairs):
+                engine._compare_with_entry(candidate, other, i * 1e-4)
+
+        return run
+
+    fast_ns, scalar_ns = measure_pair_ns(
+        runner(PageForgeEngine), runner(ScalarFetchEngine),
+        ops_per_call=n_pairs, rounds=5 if quick else 9)
+    return [
+        Metric("pf_fetch.ns_per_compare", fast_ns, "ns/compare",
+               higher_is_better=False),
+        Metric("pf_fetch.scalar_ns_per_compare", scalar_ns, "ns/compare",
+               higher_is_better=False),
+        Metric("pf_fetch.speedup_vs_scalar", scalar_ns / fast_ns, "x",
                gate=True),
     ]
 

@@ -25,6 +25,7 @@ from repro.core.scan_table import (
     ScanTableCorruption,
     pointer_sane,
 )
+from repro.mem.controller import LinePairRun
 from repro.mem.requests import AccessSource
 
 
@@ -98,6 +99,9 @@ class PageForgeEngine:
     def _fetch_line(self, ppn, line_index, time_seconds, is_candidate):
         """Fetch one line; returns (data, latency_cycles).
 
+        The per-line reference for :meth:`_fetch_pairs`, and the path of
+        single hash-completion reads.
+
         The request is issued to the on-chip network first; if some cache
         can supply it, the response flows through the MC's ECC encoder.
         Otherwise it goes to DRAM (possibly coalescing with a pending
@@ -127,6 +131,39 @@ class PageForgeEngine:
             self.keygen.observe(line_index, ecc_code)
         return data, latency
 
+    def _fetch_pairs(self, candidate_ppn, other_ppn, lines, time_seconds,
+                     compare):
+        """Fetch ``lines`` of both pages in lockstep; the page-level
+        :meth:`_fetch_line`.
+
+        One :meth:`MemoryController.read_line_pairs` call does what a
+        ``_fetch_line`` per page per line does, offset by offset (both
+        requests of a pair share the offset, Section 3.2.1).  With
+        ``compare`` every fetched pair counts as compared and the run
+        stops at the first pair whose fetched lines differ.  Returns the
+        :class:`~repro.mem.controller.LinePairRun`.
+        """
+        run = LinePairRun()
+        try:
+            self.controller.read_line_pairs(
+                candidate_ppn, other_ppn, lines, AccessSource.PAGEFORGE,
+                time_seconds, run, bus=self.bus,
+                network_cycles=self.NETWORK_LINE_CYCLES,
+                gap_cycles=self.COMPARE_CYCLES_PER_LINE, compare=compare,
+                wanted=self.keygen.missing_lines(),
+            )
+        finally:
+            stats = self.stats
+            stats.lines_fetched += run.network + run.dram
+            stats.lines_from_network += run.network
+            stats.lines_from_dram += run.dram
+            stats.lines_coalesced += run.coalesced
+            if compare:
+                stats.line_pairs_compared += run.pairs
+            for line_index, ecc_code in run.codes:
+                self.keygen.observe(line_index, ecc_code)
+        return run
+
     # Page comparison ------------------------------------------------------------------
 
     def _compare_with_entry(self, candidate_ppn, other_ppn, time_seconds):
@@ -140,24 +177,11 @@ class PageForgeEngine:
             return self._compare_sampled(
                 candidate_ppn, other_ppn, time_seconds
             )
-        cycles = 0
-        frequency = self.controller.dram.cpu_frequency_hz
-        for line_index in range(LINES_PER_PAGE):
-            now = time_seconds + cycles / frequency
-            data_a, lat_a = self._fetch_line(
-                candidate_ppn, line_index, now, is_candidate=True
-            )
-            data_b, lat_b = self._fetch_line(
-                other_ppn, line_index, now, is_candidate=False
-            )
-            cycles += max(lat_a, lat_b) + self.COMPARE_CYCLES_PER_LINE
-            self.stats.line_pairs_compared += 1
-            if not np.array_equal(data_a, data_b):
-                diffs = np.nonzero(data_a != data_b)[0]
-                first = int(diffs[0])
-                sign = -1 if data_a[first] < data_b[first] else 1
-                return sign, cycles
-        return 0, cycles
+        run = self._fetch_pairs(
+            candidate_ppn, other_ppn, range(LINES_PER_PAGE), time_seconds,
+            compare=True,
+        )
+        return run.sign, run.latency + run.pairs * self.COMPARE_CYCLES_PER_LINE
 
     def _compare_sampled(self, candidate_ppn, other_ppn, time_seconds):
         """Sampled-timing comparison: exact outcome, interpolated cost."""
@@ -178,21 +202,12 @@ class PageForgeEngine:
         for line in self.keygen.missing_lines():
             if line < lines:
                 sampled.add(line)
-        frequency = self.controller.dram.cpu_frequency_hz
-        lat_total = 0
-        cycles = 0
-        for line in sorted(sampled):
-            now = time_seconds + cycles / frequency
-            _da, lat_a = self._fetch_line(
-                candidate_ppn, line, now, is_candidate=True
-            )
-            _db, lat_b = self._fetch_line(
-                other_ppn, line, now, is_candidate=False
-            )
-            pair_lat = max(lat_a, lat_b)
-            lat_total += pair_lat
-            cycles += pair_lat + self.COMPARE_CYCLES_PER_LINE
-        est_per_line = lat_total / max(1, len(sampled))
+        run = self._fetch_pairs(
+            candidate_ppn, other_ppn, sorted(sampled), time_seconds,
+            compare=False,
+        )
+        cycles = run.latency + run.pairs * self.COMPARE_CYCLES_PER_LINE
+        est_per_line = run.latency / max(1, len(sampled))
         skipped = lines - len(sampled)
         cycles += int(
             skipped * (est_per_line + self.COMPARE_CYCLES_PER_LINE)

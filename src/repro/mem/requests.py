@@ -1,7 +1,7 @@
 """Memory request types shared by the controller, caches, and PageForge."""
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class RequestKind(enum.Enum):
@@ -36,7 +36,6 @@ class MemRequest:
     complete_cycle: int = 0
     coalesced: bool = False
     serviced_from_network: bool = False
-    metadata: dict = field(default_factory=dict)
 
     @property
     def line_address(self):
