@@ -14,7 +14,6 @@ candidate is compared against an arbitrary page set; the same machinery
 walks an explicit page graph.
 """
 
-from collections import deque
 from dataclasses import dataclass
 
 from repro.common.config import KSMConfig, PageForgeConfig, ResilienceConfig
@@ -48,12 +47,54 @@ class DriverResilienceStats:
     backoff_cycles: int = 0
 
 
-@dataclass
 class _Batch:
-    """One Scan-Table load: nodes plus their index mapping."""
+    """One Scan-Table layout: what a load writes, less the PPNs.
 
-    nodes: list
-    is_last: bool  # no out-of-batch children anywhere -> L bit
+    ``nodes[i]`` goes to entry ``i``; ``less[i]``/``more[i]`` name the
+    in-batch index of its left/right child or a miss sentinel encoding
+    (entry, direction).  A pure function of the tree's shape below the
+    start node, so the tree memoizes it until its next structural change.
+    """
+
+    __slots__ = ("nodes", "less", "more", "is_last")
+
+    def __init__(self, nodes, less, more, is_last):
+        self.nodes = nodes
+        self.less = less
+        self.more = more
+        self.is_last = is_last  # no out-of-batch children anywhere -> L bit
+
+
+def batch_layout(tree, start_node, capacity):
+    """Breadth-first layout of up to ``capacity`` nodes from ``start_node``.
+
+    One pass: a child gets its index when it is enqueued, and it is in
+    the batch iff that index is below ``capacity``.
+    """
+    nodes = [start_node]
+    less = []
+    more = []
+    is_last = True
+    children = tree.children
+    for i, node in enumerate(nodes):  # grows while it is walked
+        left, right = children(node)
+        if left is None:
+            less.append(miss_sentinel(i, "left"))
+        elif len(nodes) < capacity:
+            less.append(len(nodes))
+            nodes.append(left)
+        else:
+            less.append(miss_sentinel(i, "left"))
+            is_last = False
+        if right is None:
+            more.append(miss_sentinel(i, "right"))
+        elif len(nodes) < capacity:
+            more.append(len(nodes))
+            nodes.append(right)
+        else:
+            more.append(miss_sentinel(i, "right"))
+            is_last = False
+    return _Batch(tuple(nodes), tuple(less), tuple(more), is_last)
 
 
 class PageForgeTreeStrategy:
@@ -93,40 +134,24 @@ class PageForgeTreeStrategy:
 
         Every child pointer either names another in-batch index or a miss
         sentinel encoding (entry, direction), so the OS can always decode
-        where the hardware walk stopped.
+        where the hardware walk stopped.  The layout comes from the
+        tree's memo; PPNs (and staleness) are resolved on every load, in
+        entry order, and a stale node leaves the entries before it filled.
         """
         capacity = self.api.table.n_entries
-        nodes = []
-        frontier = deque([start_node])
-        while frontier and len(nodes) < capacity:
-            node = frontier.popleft()
-            nodes.append(node)
-            left, right = tree.children(node)
-            if left is not None:
-                frontier.append(left)
-            if right is not None:
-                frontier.append(right)
-        index_of = {id(node): i for i, node in enumerate(nodes)}
-
-        self.api.clear_entries()
-        is_last = True
-        for i, node in enumerate(nodes):
-            left, right = tree.children(node)
-            if left is not None and id(left) in index_of:
-                less = index_of[id(left)]
-            else:
-                less = miss_sentinel(i, "left")
-                if left is not None:
-                    is_last = False
-            if right is not None and id(right) in index_of:
-                more = index_of[id(right)]
-            else:
-                more = miss_sentinel(i, "right")
-                if right is not None:
-                    is_last = False
-            self.api.insert_PPN(i, self._node_ppn(node), less, more)
+        layouts = tree.layouts
+        batch = layouts.get((start_node, capacity))
+        if batch is None:
+            batch = batch_layout(tree, start_node, capacity)
+            layouts[(start_node, capacity)] = batch
+        ppns = []
+        try:
+            for node in batch.nodes:
+                ppns.append(self._node_ppn(node))
+        finally:
+            self.api.table.load_entries(ppns, batch.less, batch.more)
         self.table_refills += 1
-        return _Batch(nodes=nodes, is_last=is_last)
+        return batch
 
     def _trigger(self):
         """Run the engine and advance the local clock by its cycles."""

@@ -150,6 +150,22 @@ class ScanTable:
         for entry in self.entries:
             entry.clear()
 
+    def load_entries(self, ppns, less, more):
+        """One refill: entry ``i`` gets V, ``ppns[i]``, ``less[i]`` and
+        ``more[i]`` for every ``i < len(ppns)``; the rest are invalidated.
+
+        The state ``clear_entries`` plus one ``insert_PPN`` per entry
+        leaves, written in one call.
+        """
+        entries = self.entries
+        for entry, ppn, to_less, to_more in zip(entries, ppns, less, more):
+            entry.valid = True
+            entry.ppn = int(ppn)
+            entry.less = to_less
+            entry.more = to_more
+        for entry in entries[len(ppns):]:
+            entry.clear()
+
     def clear(self):
         self.clear_entries()
         self.pfe.clear()

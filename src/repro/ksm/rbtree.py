@@ -88,6 +88,11 @@ class ContentRBTree:
         self._nil.left = self._nil.right = self._nil.parent = self._nil
         self.root = self._nil
         self._size = 0
+        # Memo of derived views of the tree's shape (PageForge's Scan-Table
+        # batch layouts, keyed by start node and table size).  Every
+        # structural change drops it: insert_at, remove (rotations happen
+        # inside both), reset, and an in-place rebuild from a checkpoint.
+        self.layouts = {}
 
     # Search -----------------------------------------------------------------
 
@@ -182,6 +187,7 @@ class ContentRBTree:
         """Attach ``node`` at the insertion point found by a walk."""
         if outcome.match is not None:
             raise ValueError("walk found a match; insert_at expects a miss")
+        self.layouts.clear()
         node.left = node.right = self._nil
         node.color = RED
         if outcome.parent is None:
@@ -290,6 +296,7 @@ class ContentRBTree:
 
     def remove(self, z):
         """Remove node ``z`` (must belong to this tree)."""
+        self.layouts.clear()
         y = z
         y_original_color = y.color
         if z.left is self._nil:
@@ -367,6 +374,7 @@ class ContentRBTree:
 
     def reset(self):
         """Drop every node (KSM destroys the unstable tree each pass)."""
+        self.layouts.clear()
         self.root = self._nil
         self._size = 0
 

@@ -59,9 +59,20 @@ class BandwidthWindow:
         self._totals[bucket] += n_bytes
 
     def record_many(self, times, n_bytes, source):
-        """:meth:`record` once per entry of ``times``, in bulk."""
+        """:meth:`record` once per entry of ``times``, in bulk.
+
+        ``times`` is a non-empty, non-decreasing sequence, so when its
+        first and last entries share a bucket they all do, and the call
+        books as one update.
+        """
         window = self.window_seconds
         n_bytes = int(n_bytes)
+        bucket = int(times[0] / window)
+        if int(times[-1] / window) == bucket:
+            total = len(times) * n_bytes
+            self._buckets[bucket][source] += total
+            self._totals[bucket] += total
+            return
         for bucket, n in Counter(int(t / window) for t in times).items():
             self._buckets[bucket][source] += n * n_bytes
             self._totals[bucket] += n * n_bytes
